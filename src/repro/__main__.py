@@ -25,13 +25,29 @@ from .policies.base import policy_names
 from .traffic import HotspotLoad
 
 
+class _StoreScheme(argparse.Action):
+    """Store ``--scheme`` and note that it was given explicitly, so a
+    ``--config`` file's or ``--preset``'s own scheme survives the
+    flag's default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.scheme_given = True
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro",
         description="Simulate distributed dynamic channel allocation "
         "(reproduction of Kahol et al., 1998).",
     )
-    p.add_argument("--scheme", default="adaptive", choices=sorted(SCHEMES))
+    p.add_argument(
+        "--scheme", default="adaptive", choices=sorted(SCHEMES),
+        action=_StoreScheme,
+        help="allocation scheme (default: adaptive, or the scheme of "
+        "the --config file / --preset)",
+    )
+    p.set_defaults(scheme_given=False)
     p.add_argument(
         "--all-schemes", action="store_true",
         help="run every scheme on the same workload and print a comparison",
@@ -93,20 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = one per CPU); results are identical to serial",
     )
     p.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="partition the grid into N row bands and run one "
-        "conservatively synchronized kernel per band, each in its own "
-        "process (space-parallel DES; results are row-identical to "
-        "--shards 1); requires the deterministic latency model and "
-        "static calls — see docs/PROTOCOL.md",
-    )
-    p.add_argument(
         "--fastlane", action="store_true",
         help="advance quiescent local-mode cells analytically "
         "(Erlang-loss fluid model) instead of event-by-event, "
         "materializing them back on demand; a low-load accelerator — "
-        "schemes fixed/adaptive only, no faults/mobility/shards/"
-        "snapshots — see DESIGN.md",
+        "schemes fixed/adaptive only, no faults/mobility/snapshots "
+        "— see DESIGN.md",
     )
     p.add_argument(
         "--no-cache", action="store_true",
@@ -306,24 +314,25 @@ def main(argv=None) -> int:
         from .snap import load_snapshot, run_from_snapshot
 
         snap = load_snapshot(args.from_checkpoint)
-        report = run_from_snapshot(
-            snap, seed=args.fork_seed, shards=args.shards
-        )
+        report = run_from_snapshot(snap, seed=args.fork_seed)
         if args.json:
             print(json.dumps([report_dict(report)], indent=2))
         else:
             print(report.summary())
         return 0
 
-    if args.config:
-        with open(args.config) as fh:
-            base = Scenario.from_json(fh.read())
-        scenarios = [base.with_(scheme=s) for s in schemes]
-    elif args.preset:
-        from .harness import preset
+    if args.config or args.preset:
+        if args.config:
+            with open(args.config) as fh:
+                base = Scenario.from_json(fh.read())
+        else:
+            from .harness import preset
 
-        base = preset(args.preset)
-        scenarios = [base.with_(scheme=s, seed=args.seed) for s in schemes]
+            base = preset(args.preset).with_(seed=args.seed)
+        if args.scheme_given or args.all_schemes:
+            scenarios = [base.with_(scheme=s) for s in schemes]
+        else:
+            scenarios = [base]
     else:
         scenarios = [scenario_from_args(args, s) for s in schemes]
 
@@ -397,7 +406,6 @@ def main(argv=None) -> int:
         workers=args.workers if args.workers > 0 else None,
         cache=False if args.no_cache else None,
         trace_dir=args.trace,
-        shards=args.shards,
     )
     if args.trace is not None:
         print(f"run artifacts written to {args.trace}/", file=sys.stderr)

@@ -143,8 +143,7 @@ class Scenario:
     #: cells materialize back on any borrow-related contact.  See
     #: ``repro.harness.fastlane``.  Off (the default) is bit-identical
     #: to the classic kernel; on requires scheme "fixed" or "adaptive",
-    #: no fault plan, no mobility, and is rejected by sharded execution
-    #: and snapshots.
+    #: no fault plan, no mobility, and is rejected by snapshots.
     fastlane: bool = False
 
     # -- bookkeeping ------------------------------------------------------------

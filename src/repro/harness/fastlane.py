@@ -49,8 +49,8 @@ Promotion triggers: any protocol message delivered to the cell
 primaries necessarily sends us a Request, so fluid state can never be
 implicated silently), the cell itself entering borrowing mode, a
 sampled occupancy spike, and end-of-run finalization.  Fault plans,
-mobility, snapshots and sharded execution are rejected up front (see
-``build_simulation`` / ``validate_shardable`` / ``repro.snap``).
+mobility and snapshots are rejected up front (see
+``build_simulation`` / ``repro.snap``).
 
 Per-cell lane substreams are seed-deterministic and scheme-invariant;
 with ``fastlane=False`` (the default) none of this module is even

@@ -143,8 +143,9 @@ class Environment:
         Same as :meth:`timeout` with ``delay = at - now``, except the
         scheduled time is exactly ``at`` — ``now + (at - now)`` can
         land one ulp off, which matters to consumers that must
-        reproduce a delivery time bit-for-bit (the inter-shard router
-        re-scheduling an exported envelope on its destination kernel).
+        reproduce a wake-up time bit-for-bit: snapshot restore
+        re-schedules every captured timeout and in-flight delivery at
+        its recorded instant (see :mod:`repro.snap.state`).
         """
         if at < self._now:
             raise ValueError(f"cannot schedule at {at}, now is {self._now}")

@@ -4,14 +4,15 @@ Nodes register with the network and receive messages through their
 ``on_message(msg)`` method.  The network models per-message one-way
 latency (the paper's parameter ``T``), supports FIFO or non-FIFO
 per-link delivery (non-FIFO is required to reproduce the message
-overtaking of the paper's Figure 11), and exposes send/delivery hooks
-used by the metrics layer to count control messages by type.
+overtaking of the paper's Figure 11), and counts sent messages by type
+for the metrics layer.  Observers follow the traffic through the
+``net.send`` / ``net.deliver`` probes on the environment.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, KeysView, List, Optional, Protocol, Tuple
+from typing import Any, Dict, Iterable, KeysView, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -205,19 +206,10 @@ class Network:
         #: per send for drop/duplicate/delay/reorder decisions and per
         #: delivery for crashed destinations.  None = perfect network.
         self.injector: Optional[Any] = None
-        #: Optional inter-shard router port (see
-        #: :class:`repro.sim.sharding.ShardPort`).  When attached,
-        #: sends to cells this kernel does not own are accounted here
-        #: (counters, hooks, probes, FIFO floor) and exported to the
-        #: destination shard instead of being scheduled locally.
-        self.shard_port: Optional[Any] = None
         #: Total messages sent, by payload type name.
         self.sent_by_kind: Dict[str, int] = {}
         #: Total messages sent overall.
         self.total_sent = 0
-        #: Optional hooks: called with the envelope at send / delivery time.
-        self.on_send: List[Callable[[Envelope], None]] = []
-        self.on_deliver: List[Callable[[Envelope], None]] = []
 
     # -- topology ----------------------------------------------------------
     def attach(self, node: NetworkNode) -> None:
@@ -253,12 +245,8 @@ class Network:
         default a fresh per-network id is assigned.  ``fault_tag``
         labels ARQ retransmissions for the sanitizers.
         """
-        remote = False
         if dst not in self._nodes:
-            port = self.shard_port
-            if port is None or not port.routes(dst) or port.owns(dst):
-                raise KeyError(f"unknown destination node {dst}")
-            remote = True
+            raise KeyError(f"unknown destination node {dst}")
         env = self.env
         now = env._now
         latency = self.latency
@@ -272,9 +260,7 @@ class Network:
         if msg_id is None:
             self._msg_id = msg_id = self._msg_id + 1
         if self.injector is not None:
-            return self._send_faulty(
-                src, dst, payload, delay, msg_id, fault_tag, remote
-            )
+            return self._send_faulty(src, dst, payload, delay, msg_id, fault_tag)
         deliver_at = now + delay
         if self.fifo:
             link = (src, dst)
@@ -298,14 +284,8 @@ class Network:
         kind = type(payload).__name__
         counts = self.sent_by_kind
         counts[kind] = counts.get(kind, 0) + 1
-        if self.on_send:
-            for hook in self.on_send:
-                hook(env_msg)
         env.emit("net.send", env_msg)
 
-        if remote:
-            self.shard_port.export(env_msg)
-            return env_msg
         delivery = env.timeout(deliver_at - now, env_msg)
         delivery.callbacks.append(self._deliver)
         return env_msg
@@ -318,13 +298,12 @@ class Network:
         delay: float,
         msg_id: int,
         fault_tag: Optional[str],
-        remote: bool = False,
     ) -> Envelope:
         """Slow path: route the send through the fault injector.
 
         The injector turns one logical send into zero (dropped /
         partitioned / crashed endpoint), one, or two (duplicated)
-        scheduled deliveries.  Send-side accounting — counters, hooks,
+        scheduled deliveries.  Send-side accounting — counters and
         the ``net.send`` probe — happens exactly once per logical send
         regardless, so message-overhead metrics keep counting protocol
         messages, not injector artifacts.
@@ -353,11 +332,8 @@ class Network:
             env_msg = Envelope(src, dst, payload, now, deliver_at, seq, msg_id, tag)
             if primary is None:
                 primary = env_msg
-            if remote:
-                self.shard_port.export(env_msg)
-            else:
-                delivery = env.timeout(deliver_at - now, env_msg)
-                delivery.callbacks.append(self._deliver)
+            delivery = env.timeout(deliver_at - now, env_msg)
+            delivery.callbacks.append(self._deliver)
         if primary is None:
             # Dropped at send time: account for the send, deliver nothing.
             self._seq = seq = self._seq + 1
@@ -366,9 +342,6 @@ class Network:
         kind = type(payload).__name__
         counts = self.sent_by_kind
         counts[kind] = counts.get(kind, 0) + 1
-        if self.on_send:
-            for hook in self.on_send:
-                hook(primary)
         env.emit("net.send", primary)
         return primary
 
@@ -386,44 +359,9 @@ class Network:
             count += 1
         return count
 
-    def inject_remote(self, record: Any) -> Envelope:
-        """Schedule delivery of a cross-shard envelope on this kernel.
-
-        Called by the shard coordinator at a window barrier with a
-        :class:`~repro.sim.sharding.RemoteRecord` exported by another
-        shard's network.  The record's delivery time is already final
-        (latency, fault delays and the sender-side FIFO floor are
-        applied where the send happened); this side only assigns a
-        fresh local scheduling sequence number — injection order is the
-        coordinator's deterministic merge order, so per-link sequence
-        numbers remain monotone in delivery order and the FIFO/vector
-        -clock sanitizers keep checking cross-shard links.  The
-        ``shard.recv`` probe announces the arrival (with the sender's
-        vector-clock stamp, if any) before the delivery is scheduled.
-        """
-        self._seq = seq = self._seq + 1
-        env_msg = Envelope(
-            record.src,
-            record.dst,
-            record.payload,
-            record.sent_at,
-            record.deliver_at,
-            seq,
-            record.msg_id,
-            record.fault_tag,
-        )
-        env = self.env
-        env.emit("shard.recv", (env_msg, record.clock))
-        delivery = env.timeout_at(record.deliver_at, env_msg)
-        delivery.callbacks.append(self._deliver)
-        return env_msg
-
     def _deliver(self, event: Any) -> None:
         env_msg: Envelope = event._value
         if self.injector is not None and not self.injector.deliverable(env_msg):
             return
-        if self.on_deliver:
-            for hook in self.on_deliver:
-                hook(env_msg)
         self.env.emit("net.deliver", env_msg)
         self._nodes[env_msg.dst].on_message(env_msg)

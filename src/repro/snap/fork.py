@@ -109,8 +109,7 @@ def run_to_checkpoint(
 
     ``at <= 0`` captures a *cold* snapshot — the built-but-unstarted
     stack, which restores as a plain rebuild and runs the normal start
-    choreography (this is the t0-fork form, works for every scheme,
-    and is the only form that can be resumed under ``shards > 1``).
+    choreography (this is the t0-fork form, and works for every scheme).
 
     For ``at > 0`` the kernel runs to ``at`` and then drains one event
     at a time until capture succeeds; the snapshot's ``time`` is the
@@ -184,15 +183,12 @@ def run_to_checkpoint(
 def run_from_snapshot(
     snapshot: Snapshot,
     seed: Optional[int] = None,
-    shards: int = 1,
 ) -> Any:
     """Restore ``snapshot`` (optionally forked to ``seed``) and run it
     to the scenario horizon; returns the :class:`Report`.
 
-    A cold (t0) snapshot is a plain rebuild and supports any ``shards``
-    value.  A mid-run snapshot resumes on a single kernel — the sharded
-    coordinator re-partitions state at build time, so ``shards > 1``
-    raises :class:`SnapshotError` rather than silently diverging.
+    A cold (t0) snapshot is a plain rebuild and runs like a fresh
+    scenario.
     """
     from ..harness.config import Scenario
     from ..harness.runner import Report, run_scenario
@@ -201,12 +197,7 @@ def run_from_snapshot(
     if seed is not None and seed != scenario.seed:
         scenario = scenario.with_(seed=seed)
     if not snapshot.started:
-        return run_scenario(scenario, shards=shards)
-    if shards != 1:
-        raise SnapshotError(
-            "a mid-run snapshot resumes on a single kernel; take the "
-            "checkpoint at t=0 for sharded continuation"
-        )
+        return run_scenario(scenario)
     sim = restore(snapshot, seed=seed)
     if sim.env._now < scenario.duration:
         sim.env.run(until=scenario.duration)

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import inspect
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.adaptive import Mode
 from ..faults.arq import Ack, ReliableLink, _Pending
@@ -86,9 +87,10 @@ class UnsafeState(Exception):
 #
 # Every message class that can sit in an in-flight envelope or an ARQ
 # queue, by class name, with its constructor field order.  Enum-typed
-# fields are stored as ints and coerced back on decode.
+# fields are stored as ints and coerced back on decode.  Both tables are
+# read-only views: they are fixed at import time.
 
-_PAYLOADS: Dict[str, Tuple[type, Tuple[str, ...]]] = {
+_PAYLOADS: Mapping[str, Tuple[type, Tuple[str, ...]]] = MappingProxyType({
     "Request": (Request, ("req_type", "channel", "ts", "sender", "round_id")),
     "Response": (Response, ("res_type", "sender", "payload", "round_id")),
     "ChangeMode": (ChangeMode, ("mode", "sender", "round_id")),
@@ -100,9 +102,11 @@ _PAYLOADS: Dict[str, Tuple[type, Tuple[str, ...]]] = {
     "Transfer": (Transfer, ("sender", "channel", "ts", "round_id")),
     "TransferReply": (TransferReply, ("sender", "channel", "granted", "round_id")),
     "Ack": (Ack, ("msg_id",)),
-}
+})
 
-_ENUM_FIELDS = {"req_type": ReqType, "res_type": ResType, "acq_type": AcqType}
+_ENUM_FIELDS: Mapping[str, type] = MappingProxyType(
+    {"req_type": ReqType, "res_type": ResType, "acq_type": AcqType}
+)
 
 #: Reply payloads (answers to a previously processed round) — used to
 #: re-open causality-checker rounds for messages still queued at restore.
@@ -563,14 +567,6 @@ def _describe_process(sim: Any, proc: Process, when: float) -> Dict[str, Any]:
             "phase": "pre" if when == window.at else "post",
             "wake": when,
         }
-    if code_name in ("_shadow_crash_process", "_resumed_shadow_crash"):
-        window = locs["window"]
-        return {
-            "kind": "shadow_crash",
-            "index": _crash_index(sim, window),
-            "phase": "pre" if when == window.at else "post",
-            "wake": when,
-        }
 
     if code_name in ("_sampler", "_resumed_sampler"):
         if proc.name == "obs-timeseries":
@@ -687,16 +683,6 @@ def _resumed_crash(
     injector.down.discard(window.cell)
     injector._record("restart", (window.cell,))
     station._restart()
-
-
-def _resumed_shadow_crash(env: Any, injector: Any, window: Any, wake_at: float, phase: str):
-    if phase == "pre":
-        yield env.timeout_at(wake_at)
-        injector.down.add(window.cell)
-        yield env.timeout(window.downtime)
-    else:
-        yield env.timeout_at(wake_at)
-    injector.down.discard(window.cell)
 
 
 def _warmup_process(env: Any, metrics: Any, network: Any, wake_at: float):
@@ -1120,26 +1106,20 @@ def _materialize_queue(sim: Any, entries: List[Dict[str, Any]], reseed: bool) ->
         elif kind == "warmup":
             gen = _warmup_process(env, sim.metrics, network, entry["wake"])
             _forge_process(env, gen, "at_warmup")
-        elif kind in ("crash", "shadow_crash"):
+        elif kind == "crash":
             injector = sim.injector
             if injector is None:
                 raise SnapshotError("snapshot has crash windows but faults are off")
             window = sim.scenario.faults.crashes[entry["index"]]
-            if kind == "crash":
-                gen = _resumed_crash(
-                    env,
-                    injector,
-                    stations[window.cell],
-                    window,
-                    entry["wake"],
-                    entry["phase"],
-                )
-                _forge_process(env, gen, "_crash_process")
-            else:
-                gen = _resumed_shadow_crash(
-                    env, injector, window, entry["wake"], entry["phase"]
-                )
-                _forge_process(env, gen, "_shadow_crash_process")
+            gen = _resumed_crash(
+                env,
+                injector,
+                stations[window.cell],
+                window,
+                entry["wake"],
+                entry["phase"],
+            )
+            _forge_process(env, gen, "_crash_process")
         elif kind == "sampler":
             observer = sim.observer
             if observer is None:

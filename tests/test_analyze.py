@@ -3,7 +3,7 @@
 Every rule/pass gets a firing fixture module and a silent one; the
 baseline workflow, the CLI artifacts, and the real tree's cleanliness
 are covered at the end.  Fixture trees mimic the ``src/repro`` layout
-because both the flow and shard passes are scope-sensitive.
+because the flow, cell-locality and snapshot passes are scope-sensitive.
 """
 
 import json
@@ -22,7 +22,7 @@ from tools.analyze import (  # noqa: E402
     partition,
     render_dot,
     run_flow_pass,
-    run_shard_pass,
+    run_locality_pass,
     run_snapshot_pass,
     write_baseline,
 )
@@ -272,14 +272,13 @@ def test_ana104_silent_on_star_args_and_defaults(tmp_path):
 
 
 # ------------------------------------------------------------------ ANA201 ----
-def shard_findings(tmp_path, relpath, source):
+def locality_findings(tmp_path, relpath, source):
     path = write(tmp_path, relpath, source)
-    findings, report = run_shard_pass([path])
-    return findings, report
+    return run_locality_pass([path])
 
 
 def test_ana201_fires_on_cross_cell_access(tmp_path):
-    findings, report = shard_findings(
+    findings = locality_findings(
         tmp_path,
         "src/repro/protocols/leaky.py",
         """
@@ -292,11 +291,10 @@ def test_ana201_fires_on_cross_cell_access(tmp_path):
         """,
     )
     assert codes(findings) == ["ANA201", "ANA201"]
-    assert report["verdict"] == "unsafe"
 
 
 def test_ana201_silent_in_allowlisted_files(tmp_path):
-    findings, report = shard_findings(
+    findings = locality_findings(
         tmp_path,
         "src/repro/sim/network.py",
         """
@@ -306,65 +304,11 @@ def test_ana201_silent_in_allowlisted_files(tmp_path):
         """,
     )
     assert findings == []
-    assert report["files_allowlisted"]
-    assert report["verdict"] == "safe"
-
-
-# ------------------------------------------------------------------ ANA202 ----
-def test_ana202_fires_on_mutable_class_attribute(tmp_path):
-    findings, _ = shard_findings(
-        tmp_path,
-        "src/repro/protocols/shared.py",
-        """
-        class SharedMSS:
-            registry = {}
-            peers: list = []
-        """,
-    )
-    assert codes(findings) == ["ANA202", "ANA202"]
-
-
-def test_ana202_silent_on_instance_state_and_immutables(tmp_path):
-    findings, _ = shard_findings(
-        tmp_path,
-        "src/repro/protocols/clean.py",
-        """
-        class CleanMSS:
-            MODES = ("local", "borrow")
-            LIMIT = 3
-
-            def __init__(self):
-                self.registry = {}
-        """,
-    )
-    assert findings == []
-
-
-# ------------------------------------------------------------------ ANA203 ----
-def test_ana203_fires_on_mutable_module_global(tmp_path):
-    findings, _ = shard_findings(
-        tmp_path,
-        "src/repro/core/globals.py",
-        """
-        ACTIVE_CELLS = set()
-        __all__ = ["ACTIVE_CELLS"]
-        """,
-    )
-    assert codes(findings) == ["ANA203"]
-
-
-def test_ana203_silent_outside_sim_scope(tmp_path):
-    findings, _ = shard_findings(
-        tmp_path,
-        "src/repro/harness/registry.py",
-        "CACHE = {}\n",
-    )
-    assert findings == []
 
 
 # ------------------------------------------------------------------ ANA204 ----
 def test_ana204_fires_on_fluid_access_in_handler(tmp_path):
-    findings, _ = shard_findings(
+    findings = locality_findings(
         tmp_path,
         "src/repro/protocols/leaky.py",
         """
@@ -389,7 +333,7 @@ def test_ana204_silent_on_sanctioned_sites(tmp_path):
     # on_message / _enter_borrowing are the sanctioned notify sites
     # (neither matches the handler prefixes); other-object .fastlane
     # and handler-local names don't fire either.
-    findings, _ = shard_findings(
+    findings = locality_findings(
         tmp_path,
         "src/repro/protocols/clean_lane.py",
         """
@@ -576,12 +520,12 @@ def test_cli_end_to_end(tmp_path, capsys):
     tree = str(tmp_path / "src")
     baseline = str(tmp_path / "baseline.json")
     dot = tmp_path / "flow.dot"
-    report = tmp_path / "shard.json"
+    report = tmp_path / "snapshot.json"
 
     # Unbaselined finding: exit 1, JSON output carries the shared schema.
     rc = analyze_main(
         [tree, "--baseline", baseline, "--format", "json",
-         "--dot", str(dot), "--shard-report", str(report)]
+         "--dot", str(dot), "--snapshot-report", str(report)]
     )
     assert rc == 1
     out = json.loads(capsys.readouterr().out)
@@ -602,7 +546,7 @@ def test_cli_end_to_end(tmp_path, capsys):
 def test_list_passes(capsys):
     assert analyze_main(["--list-passes"]) == 0
     out = capsys.readouterr().out
-    for token in ("flow", "shard", "snapshot", "determinism", "SIM006", "SIM009"):
+    for token in ("flow", "locality", "snapshot", "determinism", "SIM006", "SIM009"):
         assert token in out
 
 
@@ -662,7 +606,7 @@ def test_ana301_silent_in_allowlisted_files(tmp_path):
         assert report["verdict"] == "safe"
 
 
-def test_ana302_and_ana303_fire_outside_shard_scope(tmp_path):
+def test_ana302_and_ana303_fire_in_snapshot_scope(tmp_path):
     findings, report = snapshot_findings(
         tmp_path,
         "src/repro/metrics/sloppy.py",
@@ -677,28 +621,96 @@ def test_ana302_and_ana303_fire_outside_shard_scope(tmp_path):
     assert report["verdict"] == "unsafe"
 
 
-def test_ana302_ana303_defer_to_shard_pass_inside_its_scope(tmp_path):
-    # protocols/ is ANA202/ANA203 territory; the snapshot pass must not
-    # double-report the same defect under a second code.
+def test_ana302_and_ana303_cover_protocols_core_and_sim(tmp_path):
+    for relpath in (
+        "src/repro/protocols/sloppy.py",
+        "src/repro/core/sloppy.py",
+        "src/repro/sim/sloppy.py",
+    ):
+        findings, _ = snapshot_findings(
+            tmp_path,
+            relpath,
+            """
+            TALLIES = {}
+
+            class Collector:
+                shared = []
+            """,
+        )
+        assert codes(findings) == ["ANA302", "ANA303"], relpath
+
+
+def test_ana303_fires_on_mutable_class_attribute(tmp_path):
     findings, _ = snapshot_findings(
         tmp_path,
-        "src/repro/protocols/sloppy.py",
+        "src/repro/protocols/shared.py",
         """
-        TALLIES = {}
+        class SharedMSS:
+            registry = {}
+            peers: list = []
+            _private: dict = {}
+        """,
+    )
+    assert codes(findings) == ["ANA303", "ANA303", "ANA303"]
 
-        class Collector:
-            shared = []
+
+def test_ana303_silent_on_instance_state_and_immutables(tmp_path):
+    findings, _ = snapshot_findings(
+        tmp_path,
+        "src/repro/protocols/clean.py",
+        """
+        class CleanMSS:
+            MODES = ("local", "borrow")
+            LIMIT = 3
+            __slots__ = ["cell"]
+
+            def __init__(self):
+                self.registry = {}
         """,
     )
     assert findings == []
 
 
-def test_snapshot_pass_ignores_out_of_scope_and_private_names(tmp_path):
+def test_ana302_fires_on_mutable_module_global(tmp_path):
+    findings, _ = snapshot_findings(
+        tmp_path,
+        "src/repro/core/globals.py",
+        """
+        ACTIVE_CELLS = set()
+        _SEEN = {}
+        __all__ = ["ACTIVE_CELLS"]
+        """,
+    )
+    assert codes(findings) == ["ANA302", "ANA302"]
+
+
+def test_ana302_silent_outside_snapshot_scope(tmp_path):
+    findings, _ = snapshot_findings(
+        tmp_path,
+        "src/repro/harness/registry.py",
+        "CACHE = {}\n",
+    )
+    assert findings == []
+
+
+def test_ana302_and_ana303_skip_the_policy_registry(tmp_path):
+    findings, report = snapshot_findings(
+        tmp_path,
+        "src/repro/policies/base.py",
+        "_REGISTRY = {}\n",
+    )
+    assert findings == []
+    assert report["state_allowlist"] == ["src/repro/policies/base.py"]
+
+
+def test_snapshot_pass_ignores_out_of_scope_and_read_only_tables(tmp_path):
     findings, report = snapshot_findings(
         tmp_path,
         "src/repro/obs/tidy.py",
         """
-        _PRIVATE_CACHE = {}
+        from types import MappingProxyType
+
+        _TABLE = MappingProxyType({"a": 1})
         FROZEN = frozenset({1, 2})
         """,
     )

@@ -73,3 +73,25 @@ def test_main_all_schemes_table(capsys):
 def test_invalid_scheme_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--scheme", "bogus"])
+
+
+def test_config_keeps_file_scheme_without_scheme_flag(tmp_path, capsys):
+    from repro.harness import Scenario
+
+    config = tmp_path / "scenario.json"
+    config.write_text(
+        Scenario(scheme="basic_update", offered_load=2.0, duration=300.0,
+                 warmup=100.0, seed=3).to_json()
+    )
+    rc = main(["--config", str(config), "--json", "--no-cache"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [row["scheme"] for row in payload] == ["basic_update"]
+
+    # An explicit --scheme still overrides the file.
+    rc = main(["--config", str(config), "--scheme", "fixed", "--json",
+               "--no-cache"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [row["scheme"] for row in payload] == ["fixed"]
+

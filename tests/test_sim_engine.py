@@ -410,6 +410,17 @@ def test_determinism_same_structure_same_trace():
     assert build_and_run() == build_and_run()
 
 
+def test_environment_timeout_at_schedules_absolute_time():
+    env = Environment()
+    seen = []
+    event = env.timeout_at(2.5, "x")
+    event.callbacks.append(lambda e: seen.append((env.now, e._value)))
+    env.run(until=5.0)
+    assert seen == [(2.5, "x")]
+    with pytest.raises(ValueError):
+        env.timeout_at(env.now - 1.0)
+
+
 # -- lazy cancellation (Environment.cancel) --------------------------------
 
 

@@ -9,11 +9,10 @@ Pass 1    Message-flow conformance (ANA101–ANA104): every message kind
           kind is actually sent, every ``msg.<attr>`` access names a
           real dataclass field, every constructor call matches the
           dataclass signature.  (``tools/analyze/flow.py``)
-Pass 2    Shard-safety escape analysis (ANA201–ANA203): no read/write
-          of another cell's mutable state outside ``Network.send`` and
-          the probe bus; no process-shared mutable class attributes or
-          module globals in simulation scope.  Precondition gate for
-          the sharded-DES roadmap item.  (``tools/analyze/shard.py``)
+Pass 2    Cell-locality analysis (ANA201, ANA204): no read/write of
+          another cell's state outside ``Network.send`` and the probe
+          bus; no fast-lane access from message handlers.
+          (``tools/analyze/locality.py``)
 Pass 3    Snapshot-escape analysis (ANA301–ANA303): no unregistered
           randomness and no mutable module/class-level state anywhere
           the checkpoint state codec must cover.  Precondition gate
@@ -41,7 +40,7 @@ from .baseline import (
 from .determinism import DETERMINISM_RULES
 from .flow import render_dot, run_flow_pass
 from .model import ProtocolModel, build_model
-from .shard import run_shard_pass
+from .locality import run_locality_pass
 from .snapshot import run_snapshot_pass
 
 __all__ = [
@@ -54,7 +53,7 @@ __all__ = [
     "partition",
     "render_dot",
     "run_flow_pass",
-    "run_shard_pass",
+    "run_locality_pass",
     "run_snapshot_pass",
     "write_baseline",
 ]

@@ -1,6 +1,6 @@
 """CLI entry point: ``python -m tools.analyze [paths...]``.
 
-Runs all four passes (message-flow, shard-safety, snapshot-escape,
+Runs all four passes (message-flow, cell-locality, snapshot-escape,
 determinism lint) over the given paths (default ``src/repro``),
 compares the merged findings against the committed baseline, and exits
 1 when any finding is not baselined.  ``--format json`` emits the
@@ -22,12 +22,12 @@ from .baseline import DEFAULT_BASELINE, load_baseline, partition, write_baseline
 from .determinism import DETERMINISM_RULES
 from .flow import render_dot, run_flow_pass
 from .model import build_model
-from .shard import run_shard_pass
+from .locality import run_locality_pass
 from .snapshot import run_snapshot_pass
 
 _PASSES = (
     ("flow", "message-flow conformance (ANA101-ANA104)"),
-    ("shard", "shard-safety escape analysis (ANA201-ANA204)"),
+    ("locality", "cell-locality analysis (ANA201, ANA204)"),
     ("snapshot", "snapshot-escape analysis (ANA301-ANA303)"),
     ("determinism", "determinism lint family (SIM006-SIM009)"),
 )
@@ -76,12 +76,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="write the message-flow graph (GraphViz DOT) to FILE",
     )
     parser.add_argument(
-        "--shard-report",
-        metavar="FILE",
-        default=None,
-        help="write the machine-readable shard-safety report to FILE",
-    )
-    parser.add_argument(
         "--snapshot-report",
         metavar="FILE",
         default=None,
@@ -111,8 +105,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     model = build_model(files)
     findings: List[Finding] = []
     findings.extend(run_flow_pass(model))
-    shard_findings, shard_report = run_shard_pass(files)
-    findings.extend(shard_findings)
+    findings.extend(run_locality_pass(files))
     snapshot_findings, snapshot_report = run_snapshot_pass(files)
     findings.extend(snapshot_findings)
     findings.extend(check_paths(args.paths, rules=DETERMINISM_RULES))
@@ -120,10 +113,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.dot:
         pathlib.Path(args.dot).write_text(render_dot(model))
-    if args.shard_report:
-        pathlib.Path(args.shard_report).write_text(
-            json.dumps(shard_report, indent=2) + "\n"
-        )
     if args.snapshot_report:
         pathlib.Path(args.snapshot_report).write_text(
             json.dumps(snapshot_report, indent=2) + "\n"
@@ -150,7 +139,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "stale_baseline": [
                         {"code": c, "path": p, "message": m} for c, p, m in stale
                     ],
-                    "shard_verdict": shard_report["verdict"],
                     "snapshot_verdict": snapshot_report["verdict"],
                 },
                 indent=2,

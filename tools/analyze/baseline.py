@@ -2,9 +2,9 @@
 
 The analyzer fails only on findings *not* in the committed baseline
 (``tools/analyze/baseline.json``), so pre-existing accepted findings —
-e.g. the dict-iteration fan-outs over collector responses, which are
-deterministic within a run today and queued for sorting in the
-sharding refactor — do not block CI while still being on the record.
+e.g. a known dict-iteration fan-out that is deterministic within a
+run but queued for a fix — do not block CI while still being on the
+record.
 
 Baseline entries are keyed ``(code, path, message)`` — deliberately
 *line-insensitive*, so unrelated edits shifting a finding up or down a

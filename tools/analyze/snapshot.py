@@ -1,4 +1,4 @@
-"""Pass 4 — snapshot-escape analysis (ANA301–ANA303).
+"""Pass 3 — snapshot-escape analysis (ANA301–ANA303).
 
 The checkpoint/restore subsystem (``repro.snap``) promises that a
 restored simulation continues *bit-for-bit*: every piece of mutable
@@ -17,19 +17,23 @@ flags the escape hatches statically:
   registry itself) and the adaptive scheme's tie-breaking ``_best_rng``
   in ``core/adaptive.py`` + its re-creation in ``snap/state.py`` —
   that one generator is *explicitly* captured and restored by the
-  state codec (see DESIGN.md §9), which is exactly the bar a new
+  state codec (see DESIGN.md §8), which is exactly the bar a new
   allowlist entry must clear.
-* **ANA302** — mutable module-level global in snapshot scope beyond
-  the shard-scope dirs ANA203 already covers (faults, traffic,
-  metrics, obs, verify): module globals are invisible to the state
-  codec, so a mutable one is state a snapshot silently drops.
-* **ANA303** — mutable class-level attribute in those same dirs
-  (companion of ANA202): class attributes are process-wide, not
-  per-instance, so the per-station capture walk never sees them.
+* **ANA302** — mutable module-level global in snapshot scope: module
+  globals are invisible to the state codec, so a mutable one is state
+  a snapshot silently drops (and, being process-wide, state every
+  cell in the run shares).
+* **ANA303** — mutable class-level attribute in snapshot scope: class
+  attributes are process-wide, not per-instance, so the per-station
+  capture walk never sees them and every instance shares them.
+
+Only dunder names (``__all__``) are exempt; a private name is state
+all the same.  A fixed lookup table stays a module global by being
+read-only (``types.MappingProxyType``, a tuple or a frozenset).
 
 Besides findings, the pass emits a machine-readable report (the
 ``--snapshot-report`` CI artifact) with a ``safe``/``unsafe`` verdict
-for CI to gate on, exactly like the shard-safety verdict.
+for CI to gate on.
 """
 
 from __future__ import annotations
@@ -40,7 +44,12 @@ from typing import Any, Dict, List, Tuple
 
 from tools.check.engine import Finding
 
-__all__ = ["run_snapshot_pass", "SNAP_SCOPE", "SNAP_RNG_ALLOWLIST"]
+__all__ = [
+    "run_snapshot_pass",
+    "SNAP_SCOPE",
+    "SNAP_RNG_ALLOWLIST",
+    "SNAP_STATE_ALLOWLIST",
+]
 
 #: Code whose mutable state must survive checkpoint/restore: everything
 #: the state codec walks, plus the kernel it rides on.
@@ -57,13 +66,11 @@ SNAP_SCOPE = (
     "src/repro/snap",
 )
 
-#: Dirs already swept for mutable globals/class attrs by ANA202/ANA203
-#: (shard scope) — ANA302/ANA303 cover only the remainder, so one
-#: defect never fires under two codes.
-_SHARD_COVERED = (
-    "src/repro/protocols",
-    "src/repro/core",
-    "src/repro/sim",
+#: Files allowed mutable module/class-level state (ANA302/ANA303).
+SNAP_STATE_ALLOWLIST = (
+    # Import-time decorator registry: append-only, filled before any
+    # simulation is built, identical in every process.
+    "src/repro/policies/base.py",
 )
 
 #: Files allowed to create generators outside the registry.  Every
@@ -95,9 +102,8 @@ def _rng_allowlisted(posix: str) -> bool:
     return any(fragment in posix for fragment in SNAP_RNG_ALLOWLIST)
 
 
-def _in_global_scope_only(posix: str) -> bool:
-    """True when the file is snapshot scope ANA203/ANA202 do not cover."""
-    return not any(fragment in posix for fragment in _SHARD_COVERED)
+def _state_allowlisted(posix: str) -> bool:
+    return any(fragment in posix for fragment in SNAP_STATE_ALLOWLIST)
 
 
 def _is_mutable_value(node: ast.expr) -> bool:
@@ -198,7 +204,7 @@ def _module_global_findings(path: str, tree: ast.Module) -> List[Finding]:
         if value is None or not _is_mutable_value(value):
             continue
         for target in targets:
-            if isinstance(target, ast.Name) and not target.id.startswith("_"):
+            if isinstance(target, ast.Name) and not target.id.startswith("__"):
                 findings.append(
                     Finding(
                         path, stmt.lineno, stmt.col_offset, "ANA302",
@@ -262,7 +268,7 @@ def run_snapshot_pass(
             )
             continue
         findings.extend(_rng_findings(posix, tree))
-        if _in_global_scope_only(posix):
+        if not _state_allowlisted(posix):
             findings.extend(_module_global_findings(posix, tree))
             findings.extend(_class_attr_findings(posix, tree))
     report = {
@@ -270,6 +276,7 @@ def run_snapshot_pass(
         "rules": ["ANA301", "ANA302", "ANA303"],
         "scope": list(SNAP_SCOPE),
         "rng_allowlist": list(SNAP_RNG_ALLOWLIST),
+        "state_allowlist": list(SNAP_STATE_ALLOWLIST),
         "files_scanned": len(scanned),
         "findings": [f.to_dict() for f in findings],
         "verdict": "safe" if not findings else "unsafe",

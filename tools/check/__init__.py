@@ -28,8 +28,8 @@ list allowed; bare ``# repro: noqa`` silences every rule on the line).
 
 The determinism rule family SIM006–SIM009 shares this engine but is
 run by the whole-program analyzer, ``python -m tools.analyze`` (see
-``tools/analyze``), alongside the message-flow and shard-safety
-passes.  Both CLIs accept ``--format json`` and emit the same finding
+``tools/analyze``), alongside the message-flow, cell-locality and
+snapshot-escape passes.  Both CLIs accept ``--format json`` and emit the same finding
 schema (:meth:`Finding.to_dict`).
 """
 
