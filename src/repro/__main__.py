@@ -109,14 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = one per CPU); results are identical to serial",
     )
     p.add_argument(
-        "--fastlane", action="store_true",
-        help="advance quiescent local-mode cells analytically "
-        "(Erlang-loss fluid model) instead of event-by-event, "
-        "materializing them back on demand; a low-load accelerator — "
-        "schemes fixed/adaptive only, no faults/mobility/snapshots "
-        "— see DESIGN.md",
-    )
-    p.add_argument(
         "--no-cache", action="store_true",
         help="ignore the persistent result cache (.repro-cache/) and "
         "always simulate",
@@ -200,7 +192,6 @@ def scenario_from_args(args, scheme: str) -> Scenario:
         window=args.window,
         policy=args.policy or "linear",
         policy_params=policy_params,
-        fastlane=args.fastlane,
     )
 
 
@@ -222,7 +213,6 @@ def report_dict(report) -> dict:
         "faults_recovered": sum(report.faults_recovered.values()),
         "retries": report.retries,
         "retry_exhausted": report.retry_exhausted,
-        **({"fastlane": report.fastlane} if report.fastlane else {}),
         **(
             {"regret_vs_oracle": report.regret_vs_oracle}
             if report.regret_vs_oracle is not None

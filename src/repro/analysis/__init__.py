@@ -12,13 +12,8 @@ from .complexity import (
     fixed,
     low_load_table,
 )
-from .erlang import carried_load, erlang_b, offered_load_for_blocking
-from .occupancy import (
-    XiPrediction,
-    predict_xi,
-    truncated_poisson_pmf,
-    truncated_poisson_sample,
-)
+from .erlang import erlang_b, offered_load_for_blocking
+from .occupancy import XiPrediction, predict_xi, truncated_poisson_pmf
 from .planning import expected_blocked_traffic, marginal_allocation, plan_partition
 
 __all__ = [
@@ -33,10 +28,8 @@ __all__ = [
     "low_load_table",
     "bounds_table",
     "erlang_b",
-    "carried_load",
     "offered_load_for_blocking",
     "truncated_poisson_pmf",
-    "truncated_poisson_sample",
     "predict_xi",
     "XiPrediction",
     "marginal_allocation",

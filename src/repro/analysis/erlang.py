@@ -11,12 +11,7 @@ the analytical reference line in the load-sweep benchmark).
 from __future__ import annotations
 
 
-__all__ = [
-    "erlang_b",
-    "erlang_b_inverse_load",
-    "carried_load",
-    "offered_load_for_blocking",
-]
+__all__ = ["erlang_b", "erlang_b_inverse_load", "offered_load_for_blocking"]
 
 
 def erlang_b(offered_load: float, servers: int) -> float:
@@ -42,16 +37,6 @@ def erlang_b(offered_load: float, servers: int) -> float:
     for k in range(1, servers + 1):
         b = offered_load * b / (k + offered_load * b)
     return b
-
-
-def carried_load(offered_load: float, servers: int) -> float:
-    """Mean number of busy servers of an M/M/c/c queue: ``A·(1 − B)``.
-
-    The stationary expected occupancy — the analytic reference the fast
-    lane's model-vs-sim divergence section compares sampled occupancy
-    against.
-    """
-    return offered_load * (1.0 - erlang_b(offered_load, servers))
 
 
 def offered_load_for_blocking(

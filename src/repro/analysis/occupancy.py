@@ -34,16 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Dict
 
 from .erlang import erlang_b
 
-__all__ = [
-    "truncated_poisson_pmf",
-    "truncated_poisson_sample",
-    "predict_xi",
-    "XiPrediction",
-]
+__all__ = ["truncated_poisson_pmf", "predict_xi", "XiPrediction"]
 
 
 def truncated_poisson_pmf(offered_load: float, servers: int) -> Dict[int, float]:
@@ -69,26 +64,6 @@ def truncated_poisson_pmf(offered_load: float, servers: int) -> Dict[int, float]
     weights = [math.exp(t - peak) for t in log_terms]
     total = sum(weights)
     return {k: w / total for k, w in enumerate(weights)}
-
-
-def truncated_poisson_sample(
-    offered_load: float, servers: int, rng: Any
-) -> int:
-    """One draw of the busy-server count of an M/M/c/c queue.
-
-    Inverse-CDF sampling over :func:`truncated_poisson_pmf` consuming
-    exactly one uniform from ``rng`` per draw — the fast lane's
-    occupancy model at observation instants, where a fixed per-draw
-    stream cost is what keeps de/materialization seed-deterministic.
-    """
-    pmf = truncated_poisson_pmf(offered_load, servers)
-    u = float(rng.random())
-    acc = 0.0
-    for k in range(servers + 1):
-        acc += pmf[k]
-        if u < acc:
-            return k
-    return servers  # float round-off: the CDF summed to just under 1
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ low threshold ``θ_l`` (enter borrowing) or the high threshold ``θ_h``
 (return to local); ``θ_l < θ_h`` gives hysteresis against flapping.
 The decision rule itself is pluggable (``repro.policies``): the
 default ``linear`` policy is the paper's predictor, bit-identically;
-alternatives (ewma, quantile, clairvoyant oracle, harvest/trade with
+alternatives (ewma, quantile, trace-replay oracle, harvest/trade with
 SOLICIT/DONATE donation) swap in per scenario without touching this
 module — see docs/POLICIES.md.
 
@@ -317,49 +317,6 @@ class AdaptiveMSS(MSS):
         """Unacknowledged search responses (paper's ``waiting_i``)."""
         return len(self._owed_acks)
 
-    def fastlane_eligible(self) -> bool:
-        """Quiescence predicate for the hybrid analytic fast lane.
-
-        An adaptive cell may be advanced analytically only while it is
-        a pure M/M/c/c loss system on its own primaries and no protocol
-        interaction can implicate it without first sending it a message:
-
-        * local mode, with no borrowing neighbors (empty ``UpdateS`` —
-          otherwise acquisitions/releases must be broadcast);
-        * nothing deferred, owed, parked or collecting (any of those
-          means a round is in flight that will resume via local state,
-          not via a message we could promote on);
-        * every held channel is an own primary, and per local knowledge
-          no neighbor uses one of our primaries (``use ⊆ PR`` and
-          ``PR ∩ I_i = ∅``) — so ``c = |PR|`` servers are genuinely
-          available to the fluid model.
-        """
-        if self.down or self.mode is not Mode.LOCAL:
-            return False
-        if self.UpdateS or self.DeferQ or self._owed_acks:
-            return False
-        if self.pending or self._req_ts is not None:
-            return False
-        if self._status_collectors or self._collector is not None:
-            return False
-        if not self.use <= self.PR:
-            return False
-        if self.PR & self.interfered():
-            return False
-        return True
-
-    def fastlane_reconcile(self) -> None:
-        """Re-anchor the mode policy at the current free-primary count.
-
-        The pre-demotion samples plus the materialization jump would
-        otherwise read as a crash-dive in free channels — the linear
-        extrapolation then flips freshly promoted cells straight into
-        borrowing mode, flooding the region with phantom borrow traffic
-        (observed: a 20× drop-rate inflation at high load).  The fluid
-        interval's sample history is fictional anyway; the honest
-        predictor state after materialization is "flat at s"."""
-        self.policy.reconcile(self.free_primary_count())
-
     # ------------------------------------------------------------------
     # Requesting a channel (Fig. 2)
     # ------------------------------------------------------------------
@@ -641,16 +598,6 @@ class AdaptiveMSS(MSS):
             self._broadcast(Solicit(self.cell, need))
 
     def _enter_borrowing(self) -> None:
-        if self.fastlane is not None:
-            # A fluid cell can reach here through a residual call's
-            # release (the predictor crossing θ_l): materialize before
-            # the mode change so the CHANGE_MODE broadcast and all
-            # subsequent borrowing traffic see discrete state.
-            # Materialization re-runs check_mode, which may complete the
-            # borrowing entry itself — bail instead of broadcasting twice.
-            self.fastlane.notify_borrow(self.cell)
-            if self.mode is not Mode.LOCAL:
-                return
         self.mode = Mode.BORROW_IDLE
         self.mode_changes += 1
         self.env.emit(

@@ -137,15 +137,6 @@ class Scenario:
     #: kernel keeps its no-subscriber fast path.
     obs: Optional[ObsConfig] = None
 
-    # -- hybrid analytic/DES fast lane -------------------------------------------
-    #: Advance local-mode cells with a quiescent neighborhood
-    #: analytically (Erlang-loss fluid model) instead of event-by-event;
-    #: cells materialize back on any borrow-related contact.  See
-    #: ``repro.harness.fastlane``.  Off (the default) is bit-identical
-    #: to the classic kernel; on requires scheme "fixed" or "adaptive",
-    #: no fault plan, no mobility, and is rejected by snapshots.
-    fastlane: bool = False
-
     # -- bookkeeping ------------------------------------------------------------
     seed: int = 1
     monitor_policy: str = "raise"

@@ -32,11 +32,9 @@ from ..sim import (
     StreamRegistry,
     UniformLatency,
 )
-from ..policies.base import policy_spec
 from ..traffic import CallConfig, TrafficSource
 from ..verify import SanitizerSuite, get_default_policy
 from .config import Scenario
-from .fastlane import FastLane
 
 __all__ = ["SCHEMES", "Simulation", "Report", "build_simulation", "run_scenario", "run_replications"]
 
@@ -71,8 +69,11 @@ class Simulation:
     injector: Optional[FaultInjector] = None
     #: Observability collectors (present iff ``scenario.obs`` is enabled).
     observer: Optional[Observer] = None
-    #: Hybrid analytic fast lane (present iff ``scenario.fastlane``).
-    fastlane: Optional[FastLane] = None
+
+    @property
+    def fastlane(self) -> None:
+        # Always None; kept because perfbench/child.py reads it unguarded.
+        return None
 
     def run(self) -> "Report":
         """Run to the scenario horizon and build the report."""
@@ -86,8 +87,6 @@ class Simulation:
         env.process(at_warmup())
         self.source.start()
         env.run(until=self.scenario.duration)
-        if self.fastlane is not None:
-            self.fastlane.finalize()
         return Report.from_simulation(self)
 
 
@@ -123,14 +122,11 @@ class Report:
     #: neighbors at local acquisitions (the paper's N_borrow); 0 for
     #: other schemes.
     measured_n_borrow: float = 0.0
-    #: Drop-rate excess over the clairvoyant oracle on the same
+    #: Drop-rate excess over the trace-replay oracle on the same
     #: (scenario, seed) — filled by ``repro.policies.compare_policies``;
     #: None for runs outside a policy comparison.  The oracle's own
     #: regret is exactly 0.0 by construction.
     regret_vs_oracle: Optional[float] = None
-    #: Fast-lane divergence summary (see ``FastLane.summary``); None
-    #: when the run did not use the hybrid analytic lane.
-    fastlane: Optional[Dict[str, Any]] = None
     # Fault-injection accounting (all zero / empty without a plan).
     faults_injected: Dict[str, int] = field(default_factory=dict)
     faults_recovered: Dict[str, int] = field(default_factory=dict)
@@ -184,9 +180,6 @@ class Report:
             duration=sim.scenario.duration - sim.scenario.warmup,
             measured_n_borrow=(
                 local_notify / local_acquires if local_acquires else 0.0
-            ),
-            fastlane=(
-                sim.fastlane.summary() if sim.fastlane is not None else None
             ),
             faults_injected=dict(m.faults_injected),
             faults_recovered=dict(m.faults_recovered),
@@ -255,39 +248,6 @@ def build_simulation(scenario: Scenario) -> Simulation:
         raise ValueError(
             f"unknown scheme {scenario.scheme!r}; available: {sorted(SCHEMES)}"
         )
-    if scenario.fastlane:
-        # The fluid model is only valid where its quiescence/Erlang-loss
-        # assumptions hold; everything else is rejected honestly rather
-        # than silently approximated (see DESIGN.md fast-lane matrix).
-        if scenario.scheme not in ("fixed", "adaptive"):
-            raise ValueError(
-                f"fastlane supports schemes 'fixed' and 'adaptive', "
-                f"not {scenario.scheme!r}"
-            )
-        if scenario.faults is not None and scenario.faults.enabled:
-            raise ValueError(
-                "fastlane is incompatible with fault injection "
-                "(fault-plan actions target discrete per-cell state)"
-            )
-        if scenario.mean_dwell is not None:
-            raise ValueError(
-                "fastlane is incompatible with mobility (the fluid "
-                "model has no handoff flows)"
-            )
-        if scenario.extra_params.get("guard_channels"):
-            raise ValueError(
-                "fastlane is incompatible with guard channels (fluid "
-                "admission is plain Erlang loss)"
-            )
-        if scenario.scheme == "adaptive" and not policy_spec(
-            scenario.policy
-        ).fastlane_safe:
-            raise ValueError(
-                f"fastlane is incompatible with policy "
-                f"{scenario.policy!r} (its decisions depend on more "
-                f"than the reconciled occupancy sample, so demoted "
-                f"cells cannot be advanced analytically)"
-            )
     streams = StreamRegistry(scenario.seed)
     env = Environment()
     topo = CellularTopology(
@@ -365,14 +325,6 @@ def build_simulation(scenario: Scenario) -> Simulation:
         horizon=scenario.duration,
     )
 
-    # Hybrid analytic fast lane: wired only when requested, so the
-    # default path constructs nothing and stays event-for-event
-    # identical to the classic kernel.
-    lane: Optional[FastLane] = None
-    if scenario.fastlane:
-        lane = FastLane(env, stations, source, metrics, scenario, streams)
-        lane.install()
-
     # Observability: attached last so its probe subscriptions see the
     # fully wired stack.  With no (enabled) obs config, nothing here
     # subscribes and the kernel's no-probe fast path stays active.
@@ -399,7 +351,6 @@ def build_simulation(scenario: Scenario) -> Simulation:
         sanitizers=sanitizers,
         injector=injector,
         observer=observer,
-        fastlane=lane,
     )
 
 

@@ -9,8 +9,9 @@ ships five entries:
   bit-identical to the pre-registry simulator);
 * ``ewma`` — exponentially weighted level + trend extrapolation;
 * ``quantile`` — rank statistic over the sample window;
-* ``oracle`` — clairvoyant replay of a recorded load trace (the
-  regret yardstick, see :mod:`repro.policies.compare`);
+* ``oracle`` — replay of a recorded load trace (the trace-replay
+  reference regret is measured against, see
+  :mod:`repro.policies.compare`);
 * ``harvest`` — linear predictor plus a SOLICIT/DONATE donation
   market steering borrow-target selection.
 

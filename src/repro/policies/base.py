@@ -109,12 +109,6 @@ class ModePolicy:
 
     #: Registry key; also the ``Scenario.policy`` value.
     name: ClassVar[str] = ""
-    #: True when the policy's state can be honestly reconciled after an
-    #: analytically advanced (fast-lane) interval.  The clairvoyant
-    #: oracle and the harvest policy are not — their state references
-    #: history/peers the fluid model never produced — so fast-lane runs
-    #: reject them (see ``build_simulation``).
-    fastlane_safe: ClassVar[bool] = False
 
     def __init__(
         self,
@@ -159,11 +153,6 @@ class ModePolicy:
         """Forget all history (crash with state loss): behave as if
         freshly constructed with ``initial`` free primaries."""
         raise NotImplementedError
-
-    def reconcile(self, s: int) -> None:
-        """Re-anchor after a fast-lane materialization: the pre-fluid
-        history is fictional, the honest state is "flat at ``s``"."""
-        self.reset(s)
 
     # -- snapshot round trip -------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:

@@ -5,17 +5,17 @@ The workflow (see docs/POLICIES.md for the handbook version):
 1. :func:`record_trace` runs a scenario once, subscribing to the
    ``policy.decide`` probe stream, and compacts each cell's
    free-primary samples into a step-function trace.
-2. The trace parameterizes the clairvoyant ``oracle`` policy
-   (``policy_params={"trace": ...}``), which replays it with perfect
-   lookahead — the performance ceiling for the traced workload.
+2. The trace parameterizes the ``oracle`` policy
+   (``policy_params={"trace": ...}``), which replays it as lookahead —
+   a trace-replay reference for the traced workload, not a bound.
 3. :func:`compare_policies` runs every requested policy (plus the
    oracle) on the same scenario/seeds through the parallel engine and
    result cache, and writes **regret-vs-oracle** — the drop rate a
    policy leaves on the table relative to the oracle — into each
    report's ``regret_vs_oracle`` field.  The oracle's own regret is 0
-   by construction; a *negative* regret for another policy means the
-   traced run's workload realization favored it (possible on short
-   horizons — regret is an estimate, not a bound, on finite runs).
+   by construction; another policy's regret can be negative, because
+   the replayed trace stops matching the load once the oracle's own
+   decisions change it.
 
 Imports of the harness are function-local: the harness imports the
 core scheme, which imports this package, so a module-level import

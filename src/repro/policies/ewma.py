@@ -24,7 +24,6 @@ class EwmaPolicy(ModePolicy):
     """Threshold test on a double-EWMA (level + trend) extrapolation."""
 
     name = "ewma"
-    fastlane_safe = True
 
     def __init__(self, beta: float = 0.3, **context: Any) -> None:
         super().__init__(**context)

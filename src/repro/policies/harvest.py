@@ -34,9 +34,6 @@ class HarvestPolicy(ModePolicy):
     """Linear predictor + SOLICIT/DONATE donation book."""
 
     name = "harvest"
-    #: Donation state references peer interactions the fluid model
-    #: never simulates; honestly incompatible with the fast lane.
-    fastlane_safe = False
 
     def __init__(self, **context: Any) -> None:
         super().__init__(**context)

@@ -1,14 +1,15 @@
-"""Clairvoyant oracle policy: replays a recorded load trace.
+"""Oracle policy: replays a recorded load trace as a regret reference.
 
 The oracle answers Fig. 6's "what will the free-primary count be one
 round-trip from now?" by *looking it up* in a per-cell trace recorded
 from a prior run of the same scenario (see
-:func:`repro.policies.record_trace`), instead of predicting it.  No
-causal predictor can beat a correct lookahead, so the oracle
-upper-bounds every predictor on the traced workload — that is what
-makes **regret-vs-oracle** (``Report.regret_vs_oracle``) a meaningful
-yardstick: the oracle's own regret is 0 by definition, and any other
-policy's regret is the drop-rate it leaves on the table.
+:func:`repro.policies.record_trace`), instead of predicting it.  It is
+the reference **regret-vs-oracle** (``Report.regret_vs_oracle``) is
+measured against — its own regret is 0 by definition — but not a
+bound: the trace records the baseline run's load, and once the
+oracle's own decisions change that load the replayed future is no
+longer the one it meets.  Other policies can and do beat it (negative
+regret).
 
 The trace is a JSON-safe step function per cell:
 ``{cell: [[t, s], ...]}`` with strictly increasing ``t`` — exactly
@@ -32,7 +33,6 @@ class OraclePolicy(ModePolicy):
     """Threshold test on the *recorded* free count one horizon ahead."""
 
     name = "oracle"
-    fastlane_safe = False
 
     def __init__(
         self, trace: Optional[Dict[Any, Any]] = None, **context: Any
@@ -64,7 +64,7 @@ class OraclePolicy(ModePolicy):
 
     def reset(self, initial: int) -> None:
         # The trace is immutable configuration, not history; a crash
-        # with state loss leaves a clairvoyant exactly as clairvoyant.
+        # with state loss leaves the replay untouched.
         self.initial = initial
 
     def state_dict(self) -> Dict[str, Any]:

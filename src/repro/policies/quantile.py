@@ -25,7 +25,6 @@ class QuantilePolicy(ModePolicy):
     """Threshold test on the q-quantile of the sample window."""
 
     name = "quantile"
-    fastlane_safe = True
 
     def __init__(self, q: float = 0.25, **context: Any) -> None:
         super().__init__(**context)

@@ -116,11 +116,6 @@ class MSS:
         #: Dispatch cache: payload type -> bound ``_on_<Type>`` handler
         #: (filled lazily; saves a name format + getattr per message).
         self._handlers: Dict[type, Any] = {}
-        #: Fast-lane controller (see ``repro.harness.fastlane``); set by
-        #: the harness when the scenario enables the hybrid lane, None
-        #: otherwise.  Protocol handlers must never read lane state —
-        #: the lane talks to the MSS, not the other way around (ANA204).
-        self.fastlane: Optional[Any] = None
         network.attach(self)
 
     # ------------------------------------------------------------------
@@ -288,23 +283,6 @@ class MSS:
         (channel reassignment).  Default: no reassignment."""
         return channel
 
-    def fastlane_eligible(self) -> bool:
-        """May this station be advanced analytically right now?
-
-        The fast lane demotes a cell only while its protocol state is
-        *quiescent*: nothing in flight, nothing deferred, no borrowed
-        channels — so that an Erlang-loss fluid model is an exact
-        stand-in for the discrete dynamics.  Subclasses that support
-        the lane override this; the abstract default is conservative.
-        """
-        return False
-
-    def fastlane_reconcile(self) -> None:
-        """State-bridge hook: reconcile protocol-internal history with
-        the just-materialized occupancy (called by the fast lane after
-        it populates ``use`` at a promotion).  Default: nothing —
-        stateless schemes need no reconciliation."""
-
     # -- shared helpers -----------------------------------------------------
     def _grab(self, channel: int) -> None:
         """Add a channel to Use and notify the interference monitor."""
@@ -418,11 +396,6 @@ class MSS:
         logical message reaches its handler exactly once.
         """
         payload = envelope.payload
-        if self.fastlane is not None:
-            # Materialize before handling: a fluid cell (or one whose
-            # fluid neighbor this message implicates) must be discrete
-            # before any protocol handler observes it.
-            self.fastlane.notify_message(self.cell)
         if self._link is not None:
             if type(payload) is Ack:
                 self._link.on_ack(payload)

@@ -50,8 +50,3 @@ class FixedMSS(MSS):
 
     def _release(self, channel: int) -> None:
         self._drop_from_use(channel)
-
-    def fastlane_eligible(self) -> bool:
-        """FCA is always an isolated M/M/c/c loss system — any live
-        cell may be advanced analytically (no messages, no borrowing)."""
-        return not self.down

@@ -96,15 +96,8 @@ class Environment:
         return self._active_process
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none.
-
-        Cancelled entries (see :meth:`cancel`) are discarded on the way
-        so the answer is the next event that will actually process.
-        """
-        queue = self._queue
-        while queue and queue[0][3].callbacks is None:
-            _heappop(queue)
-        return queue[0][0] if queue else float("inf")
+        """Time of the next scheduled event, or ``inf`` if none."""
+        return self._queue[0][0] if self._queue else float("inf")
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -181,20 +174,6 @@ class Environment:
         self._eid = eid = self._eid + 1
         _heappush(self._queue, (self._now + delay, priority, eid, event))
 
-    def cancel(self, event: Event) -> None:
-        """Remove a scheduled event from the queue (lazy deletion).
-
-        The heap entry stays in place but is skipped unprocessed when it
-        surfaces: O(1) instead of an O(n) heap rebuild.  Callbacks never
-        run and the clock does not advance for a cancelled entry, so
-        cancelling an event a process waits on silently abandons that
-        process (the fast lane uses this to take a demoted cell's
-        pending arrival timeout off the event heap).
-        """
-        if event._processed:
-            raise RuntimeError(f"{event!r} was already processed")
-        event.callbacks = None
-
     # -- execution ------------------------------------------------------------
     def step(self) -> None:
         """Process the next scheduled event.
@@ -207,10 +186,8 @@ class Environment:
             raise EmptySchedule()
         when, _prio, _eid, event = _heappop(queue)
 
-        callbacks = event.callbacks
-        if callbacks is None:
-            return  # cancelled: skip without advancing the clock
         self._now = when
+        callbacks = event.callbacks
         event.callbacks = None  # late callback registration is a bug
         event._processed = True
         for callback in callbacks:
@@ -268,10 +245,8 @@ class Environment:
                 if not queue:
                     raise EmptySchedule()
                 when, _prio, _eid, event = pop(queue)
-                callbacks = event.callbacks
-                if callbacks is None:
-                    continue  # cancelled: skip without advancing the clock
                 self._now = when
+                callbacks = event.callbacks
                 event.callbacks = None  # late callback registration is a bug
                 event._processed = True
                 for callback in callbacks:

@@ -110,12 +110,6 @@ class Event:
         return self._value
 
     @property
-    def cancelled(self) -> bool:
-        """True when the event was removed via ``Environment.cancel``
-        (scheduled, then lazily deleted — it will never process)."""
-        return self.callbacks is None and not self._processed
-
-    @property
     def defused(self) -> bool:
         """True when a failure has been handled by some waiter."""
         return self._defused

@@ -43,13 +43,6 @@ def checkpoint(sim: Any) -> Snapshot:
     and the caller should step the kernel and retry —
     :func:`run_to_checkpoint` does exactly that.
     """
-    if getattr(sim, "fastlane", None) is not None:
-        raise SnapshotError(
-            "cannot checkpoint a fastlane simulation: a fluid cell's "
-            "calls exist only as analytic occupancy, not as discrete "
-            "call records the snapshot state format can capture; rerun "
-            "with fastlane=False to checkpoint"
-        )
     try:
         scenario_json = sim.scenario.to_json()
     except (TypeError, ValueError) as exc:
@@ -129,14 +122,6 @@ def run_to_checkpoint(
     from ..harness.runner import build_simulation
     from ..sim.engine import EmptySchedule
 
-    if getattr(scenario, "fastlane", False):
-        # Fail before paying the build: checkpoint() would reject the
-        # built stack anyway (fluid cells are not capturable).
-        raise SnapshotError(
-            "cannot checkpoint a fastlane scenario: fluid cells hold "
-            "analytic occupancy the snapshot state format cannot "
-            "represent; rerun with fastlane=False to checkpoint"
-        )
     sim = build_simulation(scenario)
     if at <= 0.0:
         return checkpoint(sim)

@@ -54,7 +54,9 @@ __all__ = [
 #: refuses snapshots from other versions rather than guessing.
 #: v2: adaptive stations carry opaque per-policy state (``"policy"``,
 #: via ``ModePolicy.state_dict``) instead of raw ``"nfc_samples"``.
-SNAPSHOT_FORMAT_VERSION = 2
+#: v3: the embedded scenario schema lost a retired field, so v2 scenario
+#: JSON no longer decodes.
+SNAPSHOT_FORMAT_VERSION = 3
 
 _TAG = "~"
 

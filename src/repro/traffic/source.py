@@ -49,13 +49,6 @@ class TrafficSource:
         #: Aggregate accounting (all classes combined).
         self.log = CallLog()
         self._started = False
-        #: Fast-lane controller (``repro.harness.fastlane``); when set,
-        #: cells the lane claims at t=0 get no arrival process until
-        #: the lane promotes them via :meth:`launch`.
-        self.lane = None
-        #: Live arrival process per cell (lane demotion cancels the
-        #: process's pending gap timeout through this).
-        self._procs: Dict[int, "Process"] = {}
 
     def start(self) -> None:
         """Launch one arrival process per cell."""
@@ -64,38 +57,9 @@ class TrafficSource:
         self._started = True
         for cell in sorted(self.stations):
             if self.pattern.max_rate(cell) > 0:
-                if self.lane is not None and self.lane.claims(cell):
-                    continue  # fluid from t=0; lane settles analytically
-                self.launch(cell)
-
-    def launch(self, cell: int) -> None:
-        """(Re)start the arrival process for one cell.
-
-        Used at :meth:`start` and by the fast lane at promotion.  The
-        per-cell RNG substreams are memoized in the registry, so a
-        relaunched process resumes the *same* stream where the previous
-        incarnation (or the lane's settlement replay) left it.
-        """
-        self._procs[cell] = self.env.process(
-            self._arrivals(cell), name=f"arrivals[{cell}]"
-        )
-
-    def halt(self, cell: int) -> None:
-        """Take a cell's arrival process off the event heap (fast lane).
-
-        The process is parked on its next-gap :class:`Timeout`;
-        cancelling that timeout abandons the generator without running
-        any of its code.  Exactness note: the un-elapsed exponential
-        gap can be discarded because the exponential is memoryless —
-        redrawing from the (memoized, position-preserved) stream at
-        promotion is distributionally identical.
-        """
-        proc = self._procs.pop(cell, None)
-        if proc is None or not proc.is_alive:
-            return
-        target = proc.target
-        if target is not None:
-            self.env.cancel(target)
+                self.env.process(
+                    self._arrivals(cell), name=f"arrivals[{cell}]"
+                )
 
     def _arrivals(self, cell: int):
         rng = self.streams.stream("traffic", "arrivals", cell)

@@ -306,53 +306,6 @@ def test_ana201_silent_in_allowlisted_files(tmp_path):
     assert findings == []
 
 
-# ------------------------------------------------------------------ ANA204 ----
-def test_ana204_fires_on_fluid_access_in_handler(tmp_path):
-    findings = locality_findings(
-        tmp_path,
-        "src/repro/protocols/leaky.py",
-        """
-        class LeakyMSS:
-            def _on_request(self, msg):
-                if self.fastlane is not None:
-                    self.fastlane.notify_message(self.cell)
-
-            def _handle_release(self, msg):
-                lane = self.fastlane
-                return lane
-        """,
-    )
-    # One finding per ``self.fastlane`` access: two in ``_on_request``
-    # (the guard and the call), one in ``_handle_release``.
-    assert codes(findings) == ["ANA204", "ANA204", "ANA204"]
-    assert "LeakyMSS._on_request" in findings[0].message
-    assert "LeakyMSS._handle_release" in findings[-1].message
-
-
-def test_ana204_silent_on_sanctioned_sites(tmp_path):
-    # on_message / _enter_borrowing are the sanctioned notify sites
-    # (neither matches the handler prefixes); other-object .fastlane
-    # and handler-local names don't fire either.
-    findings = locality_findings(
-        tmp_path,
-        "src/repro/protocols/clean_lane.py",
-        """
-        class CleanMSS:
-            def on_message(self, msg):
-                if self.fastlane is not None:
-                    self.fastlane.notify_message(self.cell)
-
-            def _enter_borrowing(self):
-                if self.fastlane is not None:
-                    self.fastlane.notify_borrow(self.cell)
-
-            def _on_request(self, msg):
-                return msg.fastlane
-        """,
-    )
-    assert findings == []
-
-
 # ------------------------------------------------------------------ SIM006 ----
 def det_findings(tmp_path, source, relpath="src/repro/protocols/x.py"):
     path = write(tmp_path, relpath, source)

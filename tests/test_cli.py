@@ -73,6 +73,10 @@ def test_main_all_schemes_table(capsys):
 def test_invalid_scheme_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--scheme", "bogus"])
+    # A retired flag is a usage error, not silently ignored.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["--fastlane"])
+    assert exc.value.code == 2
 
 
 def test_config_keeps_file_scheme_without_scheme_flag(tmp_path, capsys):

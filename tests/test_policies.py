@@ -11,11 +11,11 @@ The contracts under test (docs/POLICIES.md):
 * **Snapshot round trip** — a mid-run checkpoint taken under any
   policy resumes row-identically to never having snapshotted (the
   format-v2 opaque policy state actually carries the policy's memory).
-* **Oracle dominance** — the clairvoyant oracle's regret is exactly 0
+* **Oracle regret** — the trace-replay oracle's regret is exactly 0
   by construction, and every other policy's *mean* regret over seeds
-  is non-negative on the reference workload.  (Per-seed dominance does
-  not hold — a myopic policy can luck into a better trajectory on one
-  short horizon — which is why the property is stated over the mean.)
+  is non-negative on this test's reference workload.  That is an
+  observed property of the workload, not a bound: the oracle is a
+  reference, and other workloads record negative regret.
 """
 
 import dataclasses
@@ -177,30 +177,16 @@ def test_midrun_checkpoint_resumes_the_oracle():
     assert rows(run_from_snapshot(snapshot)) == cold
 
 
-# -- fast-lane gating -------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", ["oracle", "harvest"])
-def test_fastlane_rejects_unsafe_policies(name):
-    with pytest.raises(ValueError, match="fastlane"):
-        run_scenario(small(policy=name, fastlane=True))
-
-
-def test_fastlane_accepts_safe_policies():
-    report = run_scenario(small(policy="ewma", fastlane=True))
-    assert report.fastlane is not None
-
-
-# -- regret vs the clairvoyant oracle ---------------------------------------
+# -- regret vs the trace-replay oracle -------------------------------------
 
 
 def test_oracle_regret_is_zero_and_mean_regret_nonnegative():
-    """The oracle-dominance property on the reference workload.
+    """Oracle regret on the reference workload.
 
     Per-report regret is drop_rate - oracle drop_rate on the same
     (scenario, seed); the oracle's is exactly 0.0 by construction.
-    Mean regret per policy over the seeds must be non-negative —
-    clairvoyance can be matched but not beaten on average.
+    On this workload the mean regret per policy over the seeds is
+    non-negative (observed, not guaranteed elsewhere).
     """
     base = Scenario(
         scheme="adaptive",

@@ -65,15 +65,6 @@ def test_cache_key_is_canonical_and_salted():
     assert cache_key(a) == cache_key(a, salt=code_stamp())
 
 
-def test_fastlane_rows_never_alias():
-    """fastlane=True rows carry an approximation; they must never be
-    served for an exact (lane-off) run of the same scenario."""
-    off = quick(scheme="adaptive")
-    on = quick(scheme="adaptive", fastlane=True)
-    assert cache_key(off) is not None and cache_key(on) is not None
-    assert cache_key(off) != cache_key(on)
-
-
 def test_unserializable_scenario_is_uncacheable(tmp_path):
     scenario = quick(pattern=CustomLoad(0.05))
     assert cache_key(scenario) is None

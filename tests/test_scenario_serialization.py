@@ -50,6 +50,10 @@ def test_round_trip_patterns(pattern):
 def test_unknown_field_rejected():
     with pytest.raises(ValueError, match="unknown scenario fields"):
         Scenario.from_dict({"bogus_field": 1})
+    # The retired fast-lane switch is rejected by name.
+    data = Scenario().to_dict() | {"fastlane": True}
+    with pytest.raises(ValueError, match="fastlane"):
+        Scenario.from_dict(data)
 
 
 def test_json_is_valid_and_sorted():

@@ -419,55 +419,3 @@ def test_environment_timeout_at_schedules_absolute_time():
     assert seen == [(2.5, "x")]
     with pytest.raises(ValueError):
         env.timeout_at(env.now - 1.0)
-
-
-# -- lazy cancellation (Environment.cancel) --------------------------------
-
-
-def test_cancel_skips_event_without_advancing_clock():
-    env = Environment()
-    fired = []
-    doomed = env.timeout(1.0)
-    doomed.callbacks.append(lambda e: fired.append("doomed"))
-    keeper = env.timeout(2.0)
-    keeper.callbacks.append(lambda e: fired.append("keeper"))
-    env.cancel(doomed)
-    env.run()
-    # The cancelled entry never ran and never became "now".
-    assert fired == ["keeper"]
-    assert env.now == 2.0
-
-
-def test_cancel_abandons_waiting_process():
-    env = Environment()
-    resumed = []
-
-    def sleeper():
-        yield env.timeout(1.0)
-        resumed.append(env.now)
-
-    proc = env.process(sleeper())
-    env.run(until=0.5)  # start the process so it waits on its timeout
-    env.cancel(proc.target)
-    env.timeout(5.0)
-    env.run()
-    assert resumed == []
-    assert proc.is_alive  # parked forever, not failed
-
-
-def test_cancel_processed_event_rejected():
-    env = Environment()
-    event = env.timeout(1.0)
-    env.run()
-    with pytest.raises(RuntimeError, match="already processed"):
-        env.cancel(event)
-
-
-def test_peek_discards_cancelled_entries():
-    env = Environment()
-    first = env.timeout(1.0)
-    env.timeout(3.0)
-    assert env.peek() == 1.0
-    env.cancel(first)
-    assert env.peek() == 3.0
-    assert len(env) == 1  # the cancelled entry was popped, not skipped

@@ -208,9 +208,10 @@ def test_snapshot_rejects_tampered_bytes():
 
 def test_snapshot_rejects_unknown_format_version():
     snap = run_to_checkpoint(small("fixed"), 0.0)
-    bumped = dataclasses.replace(snap, version=SNAPSHOT_FORMAT_VERSION + 1)
-    with pytest.raises(SnapshotError, match="version"):
-        restore(bumped)
+    for version in (SNAPSHOT_FORMAT_VERSION + 1, SNAPSHOT_FORMAT_VERSION - 1):
+        bumped = dataclasses.replace(snap, version=version)
+        with pytest.raises(SnapshotError, match="version"):
+            restore(bumped)
 
 
 def test_content_hash_distinguishes_scenarios_and_instants():

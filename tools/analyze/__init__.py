@@ -9,9 +9,8 @@ Pass 1    Message-flow conformance (ANA101–ANA104): every message kind
           kind is actually sent, every ``msg.<attr>`` access names a
           real dataclass field, every constructor call matches the
           dataclass signature.  (``tools/analyze/flow.py``)
-Pass 2    Cell-locality analysis (ANA201, ANA204): no read/write of
-          another cell's state outside ``Network.send`` and the probe
-          bus; no fast-lane access from message handlers.
+Pass 2    Cell-locality analysis (ANA201): no read/write of another
+          cell's state outside ``Network.send`` and the probe bus.
           (``tools/analyze/locality.py``)
 Pass 3    Snapshot-escape analysis (ANA301–ANA303): no unregistered
           randomness and no mutable module/class-level state anywhere

@@ -27,7 +27,7 @@ from .snapshot import run_snapshot_pass
 
 _PASSES = (
     ("flow", "message-flow conformance (ANA101-ANA104)"),
-    ("locality", "cell-locality analysis (ANA201, ANA204)"),
+    ("locality", "cell-locality analysis (ANA201)"),
     ("snapshot", "snapshot-escape analysis (ANA301-ANA303)"),
     ("determinism", "determinism lint family (SIM006-SIM009)"),
 )

@@ -1,4 +1,4 @@
-"""Pass 2 — cell-locality analysis (ANA201, ANA204).
+"""Pass 2 — cell-locality analysis (ANA201).
 
 Each cell's MSS may learn about another cell only through messages
 (``Network.send``) and observers only through the probe bus; that is
@@ -13,15 +13,6 @@ cross-cell shortcuts statically:
   fabric itself.  The network (``sim/network.py``) is the fabric, and
   the interference monitor plus protocol tracing are allowlisted
   observers (global oracles, not protocol participants).
-* **ANA204** — fluid-state access from a protocol message handler:
-  ``self.fastlane`` touched inside an ``_on_*`` / ``_handle_*``
-  method.  By the time a handler runs, ``MSS.on_message`` has already
-  materialized the cell (the lane's one sanctioned dispatch hook);
-  a handler reaching into the lane again either re-promotes a cell
-  mid-settlement or reads fluid occupancy that the handler's own
-  delivery just invalidated.  Protocol code interacts with the lane
-  only via the ``fastlane_eligible`` / ``fastlane_reconcile`` hooks
-  and the ``on_message`` / ``_enter_borrowing`` notify sites.
 
 Mutable class attributes and module globals in these directories are
 the snapshot pass's ANA303 / ANA302 (``tools/analyze/snapshot.py``).
@@ -111,42 +102,6 @@ def _peer_access_findings(path: str, tree: ast.Module) -> List[Finding]:
     return findings
 
 
-def _fluid_access_findings(path: str, tree: ast.Module) -> List[Finding]:
-    findings: List[Finding] = []
-    if "src/repro/sim" in path:
-        return findings  # the kernel has no protocol handlers
-    for cls in ast.walk(tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        for func in cls.body:
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not func.name.startswith(("_on_", "_handle_")):
-                continue
-            for node in ast.walk(func):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and node.attr == "fastlane"
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "self"
-                ):
-                    findings.append(
-                        Finding(
-                            path,
-                            node.lineno,
-                            node.col_offset,
-                            "ANA204",
-                            f"fluid-state access: {cls.name}.{func.name} "
-                            "touches self.fastlane inside a message "
-                            "handler — on_message already materialized "
-                            "this cell before dispatch; interact with "
-                            "the lane only via the fastlane_eligible/"
-                            "fastlane_reconcile hooks",
-                        )
-                    )
-    return findings
-
-
 def run_locality_pass(files: List[str]) -> List[Finding]:
     """Cell-locality findings for ``files``."""
     findings: List[Finding] = []
@@ -161,6 +116,5 @@ def run_locality_pass(files: List[str]) -> List[Finding]:
         except SyntaxError:
             continue  # the line lint reports SIM000 for this file
         findings.extend(_peer_access_findings(posix, tree))
-        findings.extend(_fluid_access_findings(posix, tree))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings

@@ -1,6 +1,6 @@
-"""Simulator benchmark driver: kernel throughput, parallel sweep, cache.
+"""Simulator benchmark driver: kernel throughput, cache, warm start, policies.
 
-Runs six measurements and records them in ``BENCH_simulator.json``:
+Runs four measurements and records them in ``BENCH_simulator.json``:
 
 1. **Kernel throughput (B0)** — events/second per scheme, using the
    same manual step loop as ``benchmarks/test_simulator_throughput.py``
@@ -8,33 +8,21 @@ Runs six measurements and records them in ``BENCH_simulator.json``:
    (``time.process_time``) is used for the recorded events/s so the
    numbers are stable on noisy or shared machines; wall time is
    recorded alongside for reference.
-2. **Serial vs parallel sweep** — the same small sweep run with
-   ``workers=1`` and ``workers=N``, with a row-for-row identity check
-   proving parallel output matches serial exactly.
-3. **Cold vs warm cache** — the sweep run twice against a fresh
+2. **Cold vs warm cache** — a small sweep run twice against a fresh
    :class:`~repro.harness.ResultCache`; the second run should be
-   nearly free.
-4. **Warm-start forking** — an N-seed replication sweep run cold
+   nearly free, and its rows must equal the first run's.
+3. **Warm-start forking** — an N-seed replication sweep run cold
    (N full simulations) vs warm (one ``run_to_checkpoint`` at the
    warmup boundary plus N forks, ``repro.snap``); fork seed 0 must be
    row-identical to the cold base run, and ``--check`` gates the
    speedup against the profile floor (>= 3x on the full reference
    sweep, where measurement is 10% of the horizon).
-5. **Fast lane** — the low-load reference scenario run with
-   ``fastlane=False`` (exact baseline) and ``fastlane=True`` (fluid
-   local-mode cells, ``repro.harness.fastlane``).  ``--check`` gates
-   the wall-clock speedup floor (>= 3x on the full profile), the
-   fluid-vs-exact divergence tolerances (drop rate, Erlang-B blocking,
-   occupancy), and — against the *committed* baseline — that the
-   ``fastlane=False`` run's event count has not drifted: lane-off
-   behavior is contractually bit-identical to a build without the
-   lane.  The divergence table is also written to
-   ``benchmarks/fastlane-divergence.json`` for CI artifact upload.
-6. **Policy comparison** — every registered mode policy (plus the
-   clairvoyant oracle) run on one contended workload through
-   ``repro.policies.compare_policies``; records per-policy mean
-   regret-vs-oracle.  ``--check`` gates that the oracle's regret is
-   exactly 0 and that no policy run produced interference violations.
+4. **Policy comparison** — every registered mode policy (plus the
+   trace-replay ``oracle`` reference) run on one contended workload
+   through ``repro.policies.compare_policies``; records per-policy
+   mean regret-vs-oracle.  ``--check`` gates that the oracle's regret
+   is exactly 0 and that no policy run produced interference
+   violations.
 
 Usage::
 
@@ -131,24 +119,6 @@ PROFILES = {
             n=10,
             min_speedup=3.0,
         ),
-        # The low-load reference profile of the hybrid fast lane: at 3
-        # Erlang/cell an adaptive cell's Erlang-B blocking is ~1e-4, so
-        # virtually the whole grid rides the fluid lane (fluid fraction
-        # ~0.99) and the event heap shrinks ~15x.  Measured ~4x wall
-        # against the exact kernel; the floor leaves noise headroom.
-        "fastlane": dict(
-            scheme="adaptive",
-            rows=14,
-            cols=14,
-            offered_load=3.0,
-            duration=2000.0,
-            warmup=200.0,
-            seed=7,
-            min_speedup=3.0,
-            max_drop_divergence=0.01,
-            max_block_divergence=0.01,
-            max_occupancy_divergence=0.5,
-        ),
         # Contended enough (load 10 on the paper grid) that mode-policy
         # quality shows in the drop rate, so the regret ordering is
         # informative rather than noise around zero.
@@ -180,23 +150,6 @@ PROFILES = {
             seed=31,
             n=8,
             min_speedup=1.3,
-        ),
-        # Small grid but a long horizon, so the measured region (not
-        # the fixed build/report overhead) dominates; the floor still
-        # only guards the mechanism — the 3x claim is the full
-        # profile's.
-        "fastlane": dict(
-            scheme="adaptive",
-            rows=7,
-            cols=7,
-            offered_load=3.0,
-            duration=2000.0,
-            warmup=200.0,
-            seed=7,
-            min_speedup=2.0,
-            max_drop_divergence=0.02,
-            max_block_divergence=0.02,
-            max_occupancy_divergence=0.75,
         ),
         # One seed and a shorter horizon: the gate (oracle regret
         # exactly 0, zero violations) is structural, not statistical.
@@ -261,45 +214,15 @@ def bench_kernel(spec: Dict[str, Any], repeats: int) -> Dict[str, Any]:
     return out
 
 
-def _sweep_base(spec: Dict[str, Any]) -> Scenario:
-    return Scenario(
+def bench_cache(spec: Dict[str, Any]) -> Dict[str, Any]:
+    """Cold vs warm wall time for the same sweep against a fresh cache."""
+    base = Scenario(
         scheme="fixed",
         offered_load=spec["offered_load"],
         duration=spec["duration"],
         warmup=spec["warmup"],
         seed=1,
     )
-
-
-def bench_sweep(spec: Dict[str, Any], workers: int) -> Dict[str, Any]:
-    """Serial vs parallel wall time for the same sweep, plus row parity."""
-    base = _sweep_base(spec)
-    kwargs = dict(
-        parameter="scheme",
-        values=spec["values"],
-        seeds=spec["seeds"],
-        cache=False,
-    )
-    t0 = time.perf_counter()
-    serial = sweep(base, workers=1, **kwargs)
-    serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    par = sweep(base, workers=workers, **kwargs)
-    parallel_s = time.perf_counter() - t0
-    identical = serial.rows == par.rows
-    return {
-        "cells": len(serial.rows),
-        "workers": workers,
-        "serial_s": round(serial_s, 3),
-        "parallel_s": round(parallel_s, 3),
-        "speedup": round(serial_s / parallel_s, 2) if parallel_s else 0.0,
-        "rows_identical": identical,
-    }
-
-
-def bench_cache(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Cold vs warm wall time for the same sweep against a fresh cache."""
-    base = _sweep_base(spec)
     kwargs = dict(parameter="scheme", values=spec["values"], seeds=spec["seeds"])
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         cache = ResultCache(tmp)
@@ -379,78 +302,11 @@ def bench_warmstart(spec: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def bench_fastlane(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Exact kernel vs hybrid fluid fast lane on the low-load profile.
-
-    Both runs are the same scenario; only ``fastlane`` differs.  The
-    lane-off run's event count is recorded so the committed baseline
-    pins it: lane-off behavior must stay bit-identical across commits
-    (``check_fastlane`` compares exactly, not within a tolerance).
-    The divergence block quantifies how far the fluid model drifted
-    from the discrete dynamics it replaced — the same numbers the run
-    report's fast-lane section shows.
-    """
-    base = Scenario(
-        scheme=spec["scheme"],
-        rows=spec["rows"],
-        cols=spec["cols"],
-        offered_load=spec["offered_load"],
-        duration=spec["duration"],
-        warmup=spec["warmup"],
-        seed=spec["seed"],
-        wrap=False,
-    )
-
-    def timed(scenario):
-        c0 = time.process_time()
-        w0 = time.perf_counter()
-        sim = build_simulation(scenario)
-        report = sim.run()
-        cpu = time.process_time() - c0
-        wall = time.perf_counter() - w0
-        events = sim.env._eid - len(sim.env._queue)
-        return report, cpu, wall, events
-
-    off, off_cpu, off_wall, off_events = timed(base)
-    on, on_cpu, on_wall, on_events = timed(base.with_(fastlane=True))
-    lane = on.fastlane or {}
-    return {
-        "grid": f"{spec['rows']}x{spec['cols']}",
-        "scheme": spec["scheme"],
-        "offered_load": spec["offered_load"],
-        "duration": spec["duration"],
-        "off": {
-            "cpu_s": round(off_cpu, 3),
-            "wall_s": round(off_wall, 3),
-            "events": off_events,
-            "drop_rate": round(off.drop_rate, 6),
-            "violations": off.violations,
-        },
-        "on": {
-            "cpu_s": round(on_cpu, 3),
-            "wall_s": round(on_wall, 3),
-            "events": on_events,
-            "drop_rate": round(on.drop_rate, 6),
-            "violations": on.violations,
-        },
-        "speedup_cpu": round(off_cpu / on_cpu, 2) if on_cpu else 0.0,
-        "speedup_wall": round(off_wall / on_wall, 2) if on_wall else 0.0,
-        "divergence": {
-            "drop_rate_abs": round(abs(on.drop_rate - off.drop_rate), 6),
-            "block_rate_abs_err": round(
-                lane.get("block_rate_abs_err", 0.0), 6
-            ),
-            "occupancy_abs_err": round(lane.get("occupancy_abs_err", 0.0), 4),
-            "fluid_fraction": round(lane.get("fluid_fraction", 0.0), 4),
-        },
-    }
-
-
 def bench_policies(spec: Dict[str, Any], workers: int) -> Dict[str, Any]:
     """Every registered mode policy (plus the oracle) on one workload.
 
     Runs ``repro.policies.compare_policies`` — per seed, a linear run
-    is traced, the clairvoyant oracle replays the trace, and every
+    is traced, the oracle policy replays the trace, and every
     (policy, seed) cell runs through the parallel engine.  The
     recorded numbers are the per-policy mean drop rate and mean
     regret-vs-oracle; ``check_policies`` gates the structural
@@ -509,46 +365,6 @@ def check_policies(result: Dict[str, Any]) -> List[str]:
     return problems
 
 
-def check_fastlane(
-    result: Dict[str, Any],
-    spec: Dict[str, Any],
-    committed: Dict[str, Any],
-) -> List[str]:
-    """Gate: wall speedup floor, divergence tolerances, sanitizer
-    silence, and lane-off event-count identity vs the committed
-    baseline."""
-    problems = []
-    if result["speedup_wall"] < spec["min_speedup"]:
-        problems.append(
-            f"fastlane: wall speedup {result['speedup_wall']}x is below "
-            f"the {spec['min_speedup']}x floor for this profile"
-        )
-    divergence = result["divergence"]
-    for key, bound in (
-        ("drop_rate_abs", spec["max_drop_divergence"]),
-        ("block_rate_abs_err", spec["max_block_divergence"]),
-        ("occupancy_abs_err", spec["max_occupancy_divergence"]),
-    ):
-        if divergence[key] > bound:
-            problems.append(
-                f"fastlane: divergence {key}={divergence[key]} exceeds "
-                f"the {bound} tolerance"
-            )
-    if result["on"]["violations"] or result["off"]["violations"]:
-        problems.append("fastlane: interference violations in a bench run")
-    baseline_events = (
-        committed.get("off", {}).get("events") if committed else None
-    )
-    if baseline_events is not None and baseline_events != result["off"]["events"]:
-        problems.append(
-            f"fastlane: lane-off event count {result['off']['events']} "
-            f"differs from the committed baseline {baseline_events} — "
-            "fastlane=False must stay bit-identical to a build without "
-            "the lane"
-        )
-    return problems
-
-
 def check_warmstart(
     result: Dict[str, Any], spec: Dict[str, Any]
 ) -> List[str]:
@@ -604,23 +420,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--out", default=DEFAULT_OUT, metavar="PATH")
     parser.add_argument(
-        "--divergence-out",
-        default=os.path.join("benchmarks", "fastlane-divergence.json"),
-        metavar="PATH",
-        help="where to write the fast-lane divergence report "
-        "(uploaded as a CI artifact)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=0,
         metavar="N",
-        help="pool size for the parallel sweep leg (0 = min(4, CPUs))",
+        help="pool size for the policy comparison (0 = min(4, CPUs))",
     )
     parser.add_argument(
         "--no-sweep",
         action="store_true",
-        help="skip the sweep and cache legs (kernel throughput only)",
+        help="skip every leg but kernel throughput",
     )
     args = parser.parse_args(argv)
 
@@ -650,14 +459,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }
 
     if not args.no_sweep:
-        sweep_result = bench_sweep(spec["sweep"], workers)
-        print(
-            f"sweep: {sweep_result['cells']} cells  "
-            f"serial {sweep_result['serial_s']}s  "
-            f"parallel(x{workers}) {sweep_result['parallel_s']}s  "
-            f"speedup {sweep_result['speedup']}x  "
-            f"rows identical: {sweep_result['rows_identical']}"
-        )
         cache_result = bench_cache(spec["sweep"])
         print(
             f"cache: cold {cache_result['cold_s']}s  "
@@ -665,11 +466,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"warm/cold {cache_result['warm_fraction']}  "
             f"hits {cache_result['warm_hits']}"
         )
-        section["sweep"] = sweep_result
         section["cache"] = cache_result
-        if not sweep_result["rows_identical"]:
-            print("error: parallel sweep rows differ from serial", file=sys.stderr)
-            return 1
         if not cache_result["rows_identical"]:
             print("error: warm cache rows differ from cold run", file=sys.stderr)
             return 1
@@ -689,44 +486,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not warmstart_result["rows_identical"]:
             print(
                 "error: warm-forked rows differ from the cold base run",
-                file=sys.stderr,
-            )
-            return 1
-
-        fastlane_result = bench_fastlane(spec["fastlane"])
-        divergence = fastlane_result["divergence"]
-        print(
-            f"fastlane: {fastlane_result['grid']} "
-            f"{fastlane_result['scheme']} "
-            f"load {fastlane_result['offered_load']}  "
-            f"off {fastlane_result['off']['wall_s']}s / "
-            f"{fastlane_result['off']['events']} events  "
-            f"on {fastlane_result['on']['wall_s']}s / "
-            f"{fastlane_result['on']['events']} events  "
-            f"speedup {fastlane_result['speedup_wall']}x wall "
-            f"({fastlane_result['speedup_cpu']}x cpu)"
-        )
-        print(
-            f"  divergence: drop |d| {divergence['drop_rate_abs']}  "
-            f"block |d| {divergence['block_rate_abs_err']}  "
-            f"occupancy |d| {divergence['occupancy_abs_err']}  "
-            f"fluid fraction {divergence['fluid_fraction']}"
-        )
-        section["fastlane"] = fastlane_result
-        with open(args.divergence_out, "w") as fh:
-            json.dump(
-                {"profile": profile, "fastlane": fastlane_result},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
-        print(f"wrote {args.divergence_out}")
-        if fastlane_result["on"]["violations"] or fastlane_result["off"][
-            "violations"
-        ]:
-            print(
-                "error: interference violations in a fastlane bench run",
                 file=sys.stderr,
             )
             return 1
@@ -757,13 +516,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         failures = check_regression(kernel, baseline, args.threshold)
         if not args.no_sweep:
             failures += check_warmstart(warmstart_result, spec["warmstart"])
-            failures += check_fastlane(
-                fastlane_result,
-                spec["fastlane"],
-                committed.get("profiles", {})
-                .get(profile, {})
-                .get("fastlane", {}),
-            )
             failures += check_policies(policies_result)
         for failure in failures:
             print(f"REGRESSION  {failure}", file=sys.stderr)

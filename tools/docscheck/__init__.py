@@ -32,7 +32,6 @@ from typing import List
 
 __all__ = [
     "EXCLUDED",
-    "GENERATED_PATHS",
     "INTERNAL_RULE_IDS",
     "check_code_paths",
     "check_links",
@@ -45,10 +44,6 @@ __all__ = [
 EXCLUDED = frozenset(
     {"PAPER.md", "PAPERS.md", "SNIPPETS.md", "ISSUE.md", "CHANGES.md"}
 )
-
-#: Repo paths that docs may reference although they only exist after a
-#: bench/CI run (generated artifacts, never committed).
-GENERATED_PATHS = frozenset({"benchmarks/fastlane-divergence.json"})
 
 #: Rule IDs that exist in the checker source but are deliberately not
 #: part of the documented catalog (internal sentinels).
@@ -126,8 +121,6 @@ def check_code_paths(
         text = path.read_text(encoding="utf-8")
         for match in _PATH_RE.finditer(text):
             ref = match.group(1).rstrip("/").rstrip(".")
-            if ref in GENERATED_PATHS:
-                continue
             if not (root / ref).exists():
                 problems.append(
                     f"{path.relative_to(root)}: code path `{ref}` "
